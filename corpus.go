@@ -160,13 +160,16 @@ func (s *Session) replayCorpus(ctx context.Context, c *Corpus, opts CorpusOption
 }
 
 // corpusReplayOptions assembles the replay bounds a corpus member is
-// searched under: the session's replay options with the worker count
-// applied and no per-run progress callback (corpus progress is reported
-// per member).
+// searched under: the session's replay options with the worker count and
+// the session's engine (WithEngine) applied and no per-run progress
+// callback (corpus progress is reported per member).
 func (s *Session) corpusReplayOptions() replay.Options {
 	opts := s.cfg.rep
 	if s.cfg.workers > 0 {
 		opts.Workers = s.cfg.workers
+	}
+	if opts.Engine == nil {
+		opts.Engine = s.cfg.engine
 	}
 	opts.OnRun = nil
 	if opts.Obs == nil {

@@ -2,9 +2,12 @@ package concolic
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"pathlog/internal/ir"
 	"pathlog/internal/lang"
+	"pathlog/internal/vm"
 	"pathlog/internal/world"
 )
 
@@ -246,5 +249,18 @@ func TestLabelString(t *testing.T) {
 	if Unvisited.String() != "unvisited" || Concrete.String() != "concrete" ||
 		Symbolic.String() != "symbolic" {
 		t.Error("label names")
+	}
+}
+
+// TestDefaultEngineIsBytecode guards the explorer's engine default: a zero
+// Options.Engine must resolve to the bytecode VM, never to the
+// tree-walking oracle.
+func TestDefaultEngineIsBytecode(t *testing.T) {
+	prog := compile(t, listing1)
+	spec := &world.Spec{Args: []world.Stream{world.ArgSpec(0, "x", 4)}}
+	ex := New(prog, spec, world.NewRegistry(), Options{})
+	got := reflect.ValueOf(ex.opts.Engine).Pointer()
+	if got == reflect.ValueOf(vm.TreeFactory).Pointer() || got != reflect.ValueOf(ir.Engine).Pointer() {
+		t.Fatal("nil Options.Engine did not resolve to ir.Engine")
 	}
 }

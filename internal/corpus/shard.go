@@ -59,7 +59,8 @@ type Runner interface {
 
 // InProcessRunner replays a shard through the replay engine in this
 // process, one report at a time (shards themselves run concurrently; each
-// replay's own parallelism comes from Opts.Workers).
+// replay's own parallelism comes from Opts.Workers). Runs execute on
+// Opts.Engine; nil selects the bytecode VM, as for every replay path.
 type InProcessRunner struct {
 	Prog *lang.Program
 	Spec *world.Spec

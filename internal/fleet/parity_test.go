@@ -111,11 +111,11 @@ func waitFleet(t *testing.T, ctx context.Context, urls []string) {
 	}
 }
 
-// fleetCorpus builds the three-member uServer corpus of the in-process
-// parity test (experiments 1, 2 and 4 recorded under one low-coverage
-// dynamic plan of userver-exp3), with each member carrying its user input
-// so CorpusBalance can re-record it.
-func fleetCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
+// fleetCorpus builds a uServer corpus of the given experiments (the
+// remote parity and chaos tests use 1, 2 and 4) recorded under one
+// low-coverage dynamic plan of userver-exp3, with each member carrying its
+// user input so CorpusBalance can re-record it.
+func fleetCorpus(t *testing.T, exps ...int) (*corpus.Corpus, *core.Scenario) {
 	t.Helper()
 	ctx := context.Background()
 	s3, err := apps.UServerScenario(3, 72)
@@ -130,7 +130,7 @@ func fleetCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 
 	base := time.Unix(1_700_000_000, 0)
 	var members []corpus.Member
-	for i, exp := range []int{1, 2, 4} {
+	for i, exp := range exps {
 		se, err := apps.UServerScenario(exp, 72)
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +153,8 @@ func fleetCorpus(t *testing.T) (*corpus.Corpus, *core.Scenario) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Reports) != 3 {
-		t.Fatalf("parity corpus has %d members, want 3 distinct", len(c.Reports))
+	if len(c.Reports) != len(exps) {
+		t.Fatalf("parity corpus has %d members, want %d distinct", len(c.Reports), len(exps))
 	}
 	return c, s3
 }
@@ -188,7 +188,7 @@ func TestRemoteShardParity(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	c, s3 := fleetCorpus(t)
+	c, s3 := fleetCorpus(t, 1, 2, 4)
 	bin := buildWorkerd(t)
 	var urls []string
 	for i := 0; i < 4; i++ {
@@ -298,7 +298,7 @@ func TestChaosWorkerDeathConverges(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	c, s3 := fleetCorpus(t)
+	c, s3 := fleetCorpus(t, 1, 2, 4)
 	bin := buildWorkerd(t)
 
 	// Control: the same loop, fully in-process.

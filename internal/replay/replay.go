@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pathlog/internal/instrument"
+	"pathlog/internal/ir"
 	"pathlog/internal/lang"
 	"pathlog/internal/obs"
 	"pathlog/internal/oskernel"
@@ -41,8 +42,9 @@ type Options struct {
 	// It must be cheap and must not call back into the engine.
 	OnRun func(completed int)
 	// Engine builds the execution machine for each run; nil uses the
-	// tree-walking interpreter (vm.TreeFactory). Factories must be safe for
-	// concurrent calls when Workers > 1.
+	// bytecode VM (ir.Engine). The tree-walking interpreter (vm.TreeFactory)
+	// is the differential-testing oracle and must be named explicitly.
+	// Factories must be safe for concurrent calls when Workers > 1.
 	Engine vm.Factory
 	Solver solver.Options
 	// Obs, when set, receives per-run distribution observations
@@ -184,7 +186,7 @@ func New(prog *lang.Program, spec *world.Spec, reg *world.Registry, rec *Recordi
 		opts.Workers = 1
 	}
 	if opts.Engine == nil {
-		opts.Engine = vm.TreeFactory
+		opts.Engine = ir.Engine
 	}
 	instrTab := make([]bool, len(prog.Branches))
 	for id := range rec.Plan.Instrumented {

@@ -231,7 +231,10 @@ func (s *Session) Observer() *Observer { return s.cfg.obs }
 //
 // Both engines are bit-for-bit equivalent on everything observable: trace
 // bits, syscall logs, crash sites and step counts. Unknown names follow the
-// option-apply guard rule and select the default ("bytecode").
+// option-apply guard rule and select the default ("bytecode"). The choice
+// reaches every in-process phase, corpus replay included; remote and
+// subprocess shard workers always replay on the default, since an engine
+// does not cross the wire.
 func WithEngine(name string) Option {
 	return func(c *sessionConfig) {
 		if name == "tree" {
